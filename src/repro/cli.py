@@ -131,7 +131,6 @@ def _cmd_segment(args) -> int:
         max_iterations=args.iterations,
         kernel_backend=args.kernel_backend,
         n_threads=args.kernel_threads,
-        fused_color=False if args.no_fused_color else None,
     )
     if args.algorithm == "sslic":
         kwargs["subsample_ratio"] = args.ratio
@@ -211,7 +210,6 @@ def _cmd_batch(args) -> int:
         convergence_threshold=args.threshold,
         kernel_backend=args.kernel_backend,
         n_threads=args.kernel_threads,
-        fused_color=False if args.no_fused_color else None,
     )
     manifest = RunManifest.start(
         "batch",
@@ -389,7 +387,6 @@ def _cmd_serve(args) -> int:
         subsample_ratio=args.ratio,
         kernel_backend=args.kernel_backend,
         n_threads=args.kernel_threads,
-        fused_color=False if args.no_fused_color else None,
     )
     config = ServeConfig(
         host=args.host,
@@ -595,10 +592,6 @@ def build_parser() -> argparse.ArgumentParser:
     seg.add_argument("--kernel-threads", type=int, default=None,
                      help="kernel threads per frame for native-mt "
                           "(default: $REPRO_KERNEL_THREADS, then cores)")
-    seg.add_argument("--no-fused-color", action="store_true",
-                     help="disable the fused color conversion "
-                          "(convert then decode in two steps; "
-                          "default: $REPRO_FUSED_COLOR, then fused)")
     seg.add_argument("--ratio", type=float, default=0.5,
                      help="S-SLIC subsample ratio (1/n)")
     seg.add_argument("--out", help="boundary-overlay PPM output path")
@@ -636,10 +629,6 @@ def build_parser() -> argparse.ArgumentParser:
     bat.add_argument("--kernel-threads", type=int, default=None,
                      help="kernel threads per frame for native-mt "
                           "(default: $REPRO_KERNEL_THREADS, then cores)")
-    bat.add_argument("--no-fused-color", action="store_true",
-                     help="disable the fused color conversion "
-                          "(convert then decode in two steps; "
-                          "default: $REPRO_FUSED_COLOR, then fused)")
     bat.add_argument("--ratio", type=float, default=0.5,
                      help="S-SLIC subsample ratio (1/n)")
     bat.add_argument("--threshold", type=float, default=0.25,
@@ -715,10 +704,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "$REPRO_KERNEL_BACKEND, then auto)")
     srv.add_argument("--kernel-threads", type=int, default=None,
                      help="kernel threads per frame for native-mt")
-    srv.add_argument("--no-fused-color", action="store_true",
-                     help="disable the fused color conversion "
-                          "(convert then decode in two steps; "
-                          "default: $REPRO_FUSED_COLOR, then fused)")
     srv.add_argument("--exec-mode", choices=("thread", "process"),
                      default="thread",
                      help="frame execution substrate (thread: in-process "

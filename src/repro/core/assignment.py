@@ -17,6 +17,8 @@ Both support the float64 reference datapath and the quantized
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .distance import FixedDatapath, pairwise_d2_float
@@ -26,6 +28,16 @@ __all__ = ["PixelArrays", "assign_ppa", "assign_cpa"]
 #: Chunk size (pixels) for the PPA vectorized pass; bounds peak memory at
 #: roughly chunk * 9 * 5 float64s (~95 MB at the default).
 _PPA_CHUNK = 1 << 18
+
+
+@functools.lru_cache(maxsize=4)
+def _pixel_coords(h: int, w: int):
+    """Read-only flat int64 ``(x, y)`` of every pixel, memoized per shape."""
+    x = np.tile(np.arange(w, dtype=np.int64), h)
+    y = np.repeat(np.arange(h, dtype=np.int64), w)
+    x.setflags(write=False)
+    y.setflags(write=False)
+    return x, y
 
 
 class PixelArrays:
@@ -45,10 +57,12 @@ class PixelArrays:
     ):
         h, w = lab.shape[:2]
         self.shape = (h, w)
-        self.lab_flat = lab.reshape(-1, 3).astype(np.float64)
-        yy, xx = np.mgrid[0:h, 0:w]
-        self.x_flat = xx.ravel().astype(np.int64)
-        self.y_flat = yy.ravel().astype(np.int64)
+        # A view when ``lab`` is already contiguous float64 (the engine's
+        # case); kernels only read it.
+        self.lab_flat = np.ascontiguousarray(lab, dtype=np.float64).reshape(
+            -1, 3
+        )
+        self.x_flat, self.y_flat = _pixel_coords(h, w)
         self.tile_flat = np.asarray(tile_of_pixel).ravel().astype(np.int64)
         self.datapath = datapath
         if datapath is not None:

@@ -17,13 +17,23 @@ it. This module builds:
 Edge tiles clamp their out-of-range neighbors, producing duplicate
 candidates; the hardware always evaluates 9 distances, so duplicates model
 it exactly (a duplicate can never win over itself).
+
+``tile_map`` and ``candidate_map`` depend only on the frame geometry, so
+they are memoized: every frame of a stream shares one read-only array.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = ["tile_map", "candidate_map", "dynamic_candidate_map"]
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def tile_map(shape, grid_h: int, grid_w: int) -> np.ndarray:
@@ -31,12 +41,18 @@ def tile_map(shape, grid_h: int, grid_w: int) -> np.ndarray:
 
     Tiles are the uniform regions of the initialization grid; tile index is
     ``gy * grid_w + gx``, matching the center ordering of
-    :func:`~repro.core.initialization.initial_centers`.
+    :func:`~repro.core.initialization.initial_centers`. Memoized per
+    geometry; the returned array is shared and read-only.
     """
     h, w = shape[:2]
+    return _tile_map(int(h), int(w), int(grid_h), int(grid_w))
+
+
+@functools.lru_cache(maxsize=4)
+def _tile_map(h: int, w: int, grid_h: int, grid_w: int) -> np.ndarray:
     gy = np.minimum((np.arange(h) * grid_h) // h, grid_h - 1)
     gx = np.minimum((np.arange(w) * grid_w) // w, grid_w - 1)
-    return (gy[:, None] * grid_w + gx[None, :]).astype(np.int32)
+    return _frozen((gy[:, None] * grid_w + gx[None, :]).astype(np.int32))
 
 
 def candidate_map(grid_h: int, grid_w: int) -> np.ndarray:
@@ -44,8 +60,14 @@ def candidate_map(grid_h: int, grid_w: int) -> np.ndarray:
 
     Out-of-grid neighbors clamp to the edge, so every tile has exactly 9
     entries (with duplicates at the borders) — the hardware's fixed-size
-    center register file.
+    center register file. Memoized per grid; the returned array is
+    shared and read-only.
     """
+    return _candidate_map(int(grid_h), int(grid_w))
+
+
+@functools.lru_cache(maxsize=4)
+def _candidate_map(grid_h: int, grid_w: int) -> np.ndarray:
     gy, gx = np.mgrid[0:grid_h, 0:grid_w]
     cands = np.empty((grid_h * grid_w, 9), dtype=np.int32)
     k = 0
@@ -55,7 +77,7 @@ def candidate_map(grid_h: int, grid_w: int) -> np.ndarray:
             nx = np.clip(gx + dx, 0, grid_w - 1)
             cands[:, k] = (ny * grid_w + nx).ravel()
             k += 1
-    return cands
+    return _frozen(cands)
 
 
 def dynamic_candidate_map(

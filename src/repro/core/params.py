@@ -107,13 +107,6 @@ class SlicParams:
         backends ignore it). ``None`` defers to ``REPRO_KERNEL_THREADS``,
         then the visible core count. Results are bit-identical at any
         thread count, so this only affects speed.
-    fused_color:
-        Fixed-datapath color conversion: produce the decoded Lab array
-        and the channel codes in one fused kernel traversal (``True``)
-        or convert then decode in two steps (``False``). ``None``
-        (default) defers to the ``REPRO_FUSED_COLOR`` environment
-        variable, then on. Both paths are bit-identical; this knob
-        exists for benchmarking and fault isolation.
     """
 
     n_superpixels: int = 100
@@ -133,7 +126,6 @@ class SlicParams:
     seed: int = 0
     kernel_backend: str | None = None
     n_threads: int | None = None
-    fused_color: bool | None = None
 
     def __post_init__(self) -> None:
         if self.n_superpixels < 1:

@@ -20,6 +20,8 @@ superpixels instead of the pixels) is also provided.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..errors import ConfigurationError
@@ -91,6 +93,8 @@ class SubsetSchedule:
         self._subsets = [
             np.flatnonzero(phase == p).astype(np.int64) for p in range(n_subsets)
         ]
+        for subset in self._subsets:
+            subset.setflags(write=False)
 
     def subset(self, phase: int) -> np.ndarray:
         """Flat pixel indices of subset ``phase mod n_subsets``."""
@@ -109,13 +113,23 @@ class SubsetSchedule:
 
 
 def make_schedule(shape, subsample_ratio: float, strategy: str, seed: int = 0) -> SubsetSchedule:
-    """Build the schedule for a subsample ratio of ``1/n``."""
+    """Build the schedule for a subsample ratio of ``1/n``.
+
+    Memoized per (shape, n, strategy, seed): every frame of a stream
+    shares one schedule, whose subset index arrays are read-only.
+    """
     n = int(round(1.0 / subsample_ratio))
     if abs(n * subsample_ratio - 1.0) > 1e-9:
         raise ConfigurationError(
             f"subsample_ratio must be 1/n for integer n, got {subsample_ratio}"
         )
-    return SubsetSchedule(shape, n, strategy=strategy, seed=seed)
+    h, w = shape[:2]
+    return _schedule(int(h), int(w), n, strategy, int(seed))
+
+
+@functools.lru_cache(maxsize=4)
+def _schedule(h: int, w: int, n: int, strategy: str, seed: int) -> SubsetSchedule:
+    return SubsetSchedule((h, w), n, strategy=strategy, seed=seed)
 
 
 def center_subsets(n_centers: int, n_subsets: int) -> list:

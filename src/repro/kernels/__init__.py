@@ -1,8 +1,8 @@
 """Dispatchable kernels for the assignment/connectivity hot paths.
 
 The engine's inner loops — the CPA window scan, the PPA 9-candidate
-evaluation, connected-component labeling, the fixed-point RGB->Lab
-conversion, the small-component merge walk, and the BR/USE metric
+evaluation, connected-component labeling, the float and fixed-point
+RGB->Lab conversions, the small-component merge walk, and the BR/USE metric
 histograms/distance transform — are implemented four times behind one
 contract:
 

@@ -1,5 +1,6 @@
 /* Native kernels: the CPA window scan, the PPA 9-candidate evaluation,
- * the fixed-point RGB->Lab conversion (optionally fused with the
+ * the float RGB->Lab conversion under the portable color contract, the
+ * fixed-point RGB->Lab conversion (optionally fused with the
  * code->Lab decode), the sigma-register accumulation, the two-pass
  * union-find connected-components pass, the small-component merge walk,
  * and the BR/USE metric inner loops (joint histogram, 3-4 chamfer) as
@@ -38,6 +39,7 @@
 #include <math.h>
 #include <pthread.h>
 #include <stdint.h>
+#include <string.h>
 
 /* ------------------------------------------------------------------ */
 /* A tiny persistent pthread pool. mt_run(fn, ctx, n) runs              */
@@ -691,6 +693,127 @@ void lab_from_codes_u8_mt(
                          ab_scale_raw, ab_offset, code_max, codes,
                          l_scale_d, ab_scale_d, ab_offset_d, lab_out};
     mt_run(lab_codes_chunk, &ctx, n_threads < n ? n_threads : n);
+}
+
+/* ------------------------------------------------------------------ */
+/* Float RGB -> Lab under the portable color contract (the definition is
+ * lab_float_reference / portable_cbrt in repro.color.reference; see
+ * docs/kernels.md): a 256-entry gamma table gather, then per channel
+ * X = (r*M00 + g*M01) + b*M02, t = X / Xn, and f(t) with a
+ * self-contained cube root — exponent split by bit operations, a cubic
+ * first guess of t^(-1/3) on [1, 2), two Newton steps for the inverse
+ * cube root and one forward Newton step. No libm and no FMA (the build
+ * disables contraction), so every value rounds exactly like the numpy
+ * definition. Every constant arrives in `k` from Python, so the two
+ * implementations share one source. Pixels are range-partitioned and
+ * independent; only a threaded entry exists (the `native` backend calls
+ * it at one thread).                                                   */
+/* ------------------------------------------------------------------ */
+
+enum {
+    LF_M = 0,        /* 9: sRGB -> XYZ matrix, row-major               */
+    LF_WHITE = 9,    /* 3: reference white Xn, Yn, Zn                  */
+    LF_EPS = 12,     /* f() cube-root threshold                        */
+    LF_KAPPA = 13,   /* f() linear-branch slope                        */
+    LF_POLY = 14,    /* 4: first-guess cubic, lowest degree first      */
+    LF_RANGE = 18,   /* 3: 2^(-r/3) for the exponent remainder r       */
+    LF_THIRD = 21    /* 1.0 / 3.0                                      */
+};
+
+/* Pixels per block. Each block runs in stages over small arrays that
+ * stay in L1: gather + XYZ + t, then the exponent split, then the cube
+ * root's Newton arithmetic (a plain loop over independent lanes, which
+ * the compiler vectorizes), then f() and Lab. Staging changes the
+ * schedule only; each value sees the same operations in the same
+ * order as the numpy definition.                                      */
+#define LF_BLOCK 128
+
+typedef struct {
+    const uint8_t *rgb;    /* n*3 flat RGB                              */
+    int64_t n;
+    const double *gamma;   /* 256-entry linear-light table              */
+    const double *k;       /* the LF_* contract constants               */
+    double *lab;           /* n*3 output                                */
+} lab_float_ctx;
+
+static void lab_float_chunk(void *vctx, int64_t tid, int64_t width)
+{
+    const lab_float_ctx *c = (const lab_float_ctx *)vctx;
+    const double *g = c->gamma, *k = c->k;
+    double M[9], white[3], poly[4], range[3];
+    memcpy(M, k + LF_M, sizeof M);
+    memcpy(white, k + LF_WHITE, sizeof white);
+    memcpy(poly, k + LF_POLY, sizeof poly);
+    memcpy(range, k + LF_RANGE, sizeof range);
+    const double eps = k[LF_EPS], kappa = k[LF_KAPPA], third = k[LF_THIRD];
+    double t[3 * LF_BLOCK], tc[3 * LF_BLOCK], m[3 * LF_BLOCK];
+    double sc[3 * LF_BLOCK], f[3 * LF_BLOCK];
+    int64_t hi = mt_slice_hi(c->n, tid, width);
+    for (int64_t i0 = mt_slice_lo(c->n, tid, width); i0 < hi;
+         i0 += LF_BLOCK) {
+        int64_t nb = hi - i0 < LF_BLOCK ? hi - i0 : LF_BLOCK;
+        /* Gamma gather, X = (r*M00 + g*M01) + b*M02 (and Y, Z), t.    */
+        for (int64_t j = 0; j < nb; j++) {
+            const uint8_t *px = c->rgb + 3 * (i0 + j);
+            double r = g[px[0]], gg = g[px[1]], b = g[px[2]];
+            for (int ch = 0; ch < 3; ch++) {
+                const double *row = M + 3 * ch;
+                t[3 * j + ch] =
+                    ((r * row[0] + gg * row[1]) + b * row[2]) / white[ch];
+            }
+        }
+        /* Exponent split of max(t, eps): t = m * 2^e, m in [1, 2),
+         * e = 3q + r; sc = 2^(-r/3) * 2^-q, an exact product.         */
+        for (int64_t j = 0; j < 3 * nb; j++) {
+            double x = t[j] > eps ? t[j] : eps;
+            uint64_t bits, mb, sb;
+            double scale;
+            memcpy(&bits, &x, sizeof bits);
+            int64_t biased = (int64_t)(bits >> 52);
+            int64_t q3 = biased / 3;
+            mb = (bits & 0x000FFFFFFFFFFFFFull) | 0x3FF0000000000000ull;
+            sb = (uint64_t)(1364 - q3) << 52;  /* 2^-(biased/3 - 341)  */
+            memcpy(&m[j], &mb, sizeof mb);
+            memcpy(&scale, &sb, sizeof scale);
+            tc[j] = x;
+            sc[j] = range[biased - 3 * q3] * scale;
+        }
+        /* Cube root: cubic guess of t^(-1/3), two inverse Newton steps,
+         * c = t*y^2, one forward Newton step.                          */
+        for (int64_t j = 0; j < 3 * nb; j++) {
+            double x = tc[j], mj = m[j];
+            double y = ((poly[3] * mj + poly[2]) * mj + poly[1]) * mj
+                       + poly[0];
+            y = y * sc[j];
+            double e = 1.0 - x * ((y * y) * y);
+            y = y + (y * e) * third;
+            e = 1.0 - x * ((y * y) * y);
+            y = y + (y * e) * third;
+            double yy = y * y;
+            double cb = x * yy;
+            f[j] = cb + ((x - (cb * cb) * cb) * third) * yy;
+        }
+        /* f(): the linear branch at or below eps; then L, a, b.        */
+        for (int64_t j = 0; j < nb; j++) {
+            double fv[3];
+            for (int ch = 0; ch < 3; ch++) {
+                double tj = t[3 * j + ch];
+                fv[ch] = tj > eps ? f[3 * j + ch]
+                                  : (kappa * tj + 16.0) / 116.0;
+            }
+            double *out = c->lab + 3 * (i0 + j);
+            out[0] = 116.0 * fv[1] - 16.0;
+            out[1] = 500.0 * (fv[0] - fv[1]);
+            out[2] = 200.0 * (fv[1] - fv[2]);
+        }
+    }
+}
+
+void lab_float_u8_mt(const uint8_t *rgb, int64_t n, const double *gamma,
+                     const double *k, double *lab, int64_t n_threads)
+{
+    lab_float_ctx ctx = {rgb, n, gamma, k, lab};
+    mt_run(lab_float_chunk, &ctx, n_threads < n ? n_threads : n);
 }
 
 /* ------------------------------------------------------------------ */

@@ -1,7 +1,7 @@
 """Backend selection for the kernel layer.
 
 Four backends implement the same kernel contract (``cpa_assign``,
-``ppa_assign``, ``connected_components``, ``lab_codes``,
+``ppa_assign``, ``connected_components``, ``lab_float``, ``lab_codes``,
 ``lab_from_codes``, ``sigma_accumulate``, ``merge_small``,
 ``contingency_table``, ``chamfer_distance``; see ``docs/kernels.md``):
 

@@ -30,10 +30,20 @@ from pathlib import Path
 
 import numpy as np
 
+from ..color.constants import (
+    D65_WHITE,
+    INV_CBRT_POLY,
+    INV_CBRT_RANGE,
+    LAB_EPSILON,
+    LAB_KAPPA,
+    SRGB_GAMMA_U8,
+    SRGB_TO_XYZ,
+)
+from ..color.reference import lab_float_reference
 from ..core.distance import WEIGHT_FRAC_BITS
 from ..errors import ConfigurationError
 from ..metrics.boundaries import chamfer_finalize, chamfer_init
-from ..types import validate_label_map
+from ..types import validate_label_map, validate_rgb_image
 
 __all__ = [
     "is_available",
@@ -44,6 +54,7 @@ __all__ = [
     "resolve_runs",
     "lab_codes",
     "lab_from_codes",
+    "lab_float",
     "sigma_accumulate",
     "merge_small",
     "contingency_table",
@@ -220,6 +231,9 @@ def _declare(lib) -> None:
     lib.contingency_i64_mt.argtypes = [i64, i64, ll, ll, ll, i64, ll, i64]
     lib.ccl_i32_mt.restype = ll
     lib.ccl_i32_mt.argtypes = [*lib.ccl_i32.argtypes, ll]
+    # Threaded only: `native` calls it at one thread.
+    lib.lab_float_u8_mt.restype = None
+    lib.lab_float_u8_mt.argtypes = [u8, ll, f64, f64, f64, ll]
 
 
 def load():
@@ -481,6 +495,38 @@ def lab_from_codes(converter, rgb, _n_threads=None):
     else:
         lib.lab_from_codes_u8_mt(*args, int(_n_threads))
     return lab, codes
+
+
+#: The float color contract's constants in the order ``_native.c``
+#: reads them (its ``LF_*`` offsets): matrix, white, epsilon, kappa,
+#: first-guess cubic, range scales, 1/3.
+_LAB_FLOAT_CONSTS = np.array(
+    [
+        *SRGB_TO_XYZ.ravel(), *D65_WHITE, LAB_EPSILON, LAB_KAPPA,
+        *INV_CBRT_POLY, *INV_CBRT_RANGE, 1.0 / 3.0,
+    ],
+    dtype=np.float64,
+)
+
+
+def lab_float(rgb, _n_threads=1):
+    """Float RGB->Lab under the portable color contract.
+
+    uint8 input runs the C kernel, bit-identical to
+    ``lab_float_reference``; float input has no table to gather from
+    and takes the numpy definition directly.
+    """
+    rgb = validate_rgb_image(rgb)
+    if rgb.dtype != np.uint8:
+        return lab_float_reference(rgb)
+    lib = load()
+    h, w = rgb.shape[:2]
+    lab = np.empty((h, w, 3), dtype=np.float64)
+    lib.lab_float_u8_mt(
+        np.ascontiguousarray(rgb).reshape(-1), h * w, SRGB_GAMMA_U8,
+        _LAB_FLOAT_CONSTS, lab.reshape(-1), int(_n_threads),
+    )
+    return lab
 
 
 def sigma_accumulate(

@@ -10,8 +10,8 @@ overhead.
 
 Bit-identity at any thread count comes from *ownership partitioning*
 (see the ``_native.c`` header): each thread owns a contiguous slice of
-the output — row bands for CPA, index ranges for PPA and ``lab_codes``
-/ ``lab_from_codes``, cluster ranges for ``sigma_accumulate``,
+the output — row bands for CPA, index ranges for PPA, ``lab_float``
+and ``lab_codes`` / ``lab_from_codes``, cluster ranges for ``sigma_accumulate``,
 a private histogram for ``contingency_table`` — and visits its slice in
 exactly the serial order. Every output element is written by exactly
 one thread, so no boundary ties can arise; the cross-tile combines
@@ -60,6 +60,7 @@ __all__ = [
     "connected_components",
     "lab_codes",
     "lab_from_codes",
+    "lab_float",
     "sigma_accumulate",
     "merge_small",
     "contingency_table",
@@ -276,6 +277,11 @@ def lab_from_codes(converter, rgb, n_threads=None):
     return native.lab_from_codes(
         converter, rgb, _n_threads=resolve_threads(n_threads)
     )
+
+
+def lab_float(rgb, n_threads=None):
+    """Float RGB->Lab over pixel-range chunks; see ``native.lab_float``."""
+    return native.lab_float(rgb, _n_threads=resolve_threads(n_threads))
 
 
 def sigma_accumulate(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from ..color.hw_convert import convert_codes_reference as lab_codes
 from ..color.hw_convert import lab_from_codes_reference as lab_from_codes
+from ..color.reference import lab_float_reference as lab_float
 from ..core.accumulators import (
     sigma_accumulate_reference as sigma_accumulate,
 )
@@ -32,6 +33,7 @@ __all__ = [
     "connected_components",
     "lab_codes",
     "lab_from_codes",
+    "lab_float",
     "sigma_accumulate",
     "merge_small",
     "contingency_table",

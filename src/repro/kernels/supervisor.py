@@ -96,7 +96,8 @@ def self_test(name: str) -> None:
     """Run the known-answer kernel checks for backend ``name``.
 
     Exercises every kernel in the contract (CPA scan, Lab conversion —
-    two-step and fused — sigma accumulation, merge walk, metric
+    fixed-point two-step and fused, and the float color contract —
+    sigma accumulation, merge walk, metric
     histogram/chamfer) on tiny fixed inputs and
     compares against the reference loops, raising
     :class:`ConfigurationError` with the mismatch detail on any
@@ -188,6 +189,14 @@ def self_test(name: str) -> None:
         odd_flab, odd_fcodes = backend.lab_from_codes(conv, rgb, n_threads=3)
         check("lab_from_codes.lab@3t", odd_flab, want_flab)
         check("lab_from_codes.codes@3t", odd_fcodes, want_fcodes)
+
+    # Float color contract: the 60 pixels of the ramp, which cross
+    # f()'s linear branch (dark codes) and the cube-root branch.
+    want_lab = reference.lab_float(rgb)
+    with pinned():
+        check("lab_float", backend.lab_float(rgb), want_lab)
+    if name == "native-mt":
+        check("lab_float@3t", backend.lab_float(rgb, n_threads=3), want_lab)
 
     # Sigma accumulation: float rows over the full CPA image (with an
     # empty cluster), plus a fixed-code subset gather. The labels hit

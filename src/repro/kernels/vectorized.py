@@ -34,6 +34,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..color.hw_convert import convert_codes_reference
+from ..color.reference import (  # noqa: F401 — the numpy contract is the batched form
+    lab_float_reference as lab_float,
+)
 from ..core.assignment import _PPA_CHUNK, PixelArrays
 from ..core.connectivity import (
     _min_propagate,
@@ -56,6 +59,7 @@ __all__ = [
     "connected_components",
     "lab_codes",
     "lab_from_codes",
+    "lab_float",
     "sigma_accumulate",
     "merge_small",
     "contingency_table",

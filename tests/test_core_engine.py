@@ -207,43 +207,60 @@ class TestWarmStart:
         assert np.array_equal(runs[0].centers, runs[1].centers)
 
 
-class TestFusedColor:
-    """The fused color-conversion knob: identical results, observable."""
+class TestGeometryCaches:
+    """Tile/candidate maps, schedules and pixel coordinates are memoized
+    per geometry; the caches are pure and their arrays read-only."""
 
-    def _run(self, image, **kw):
-        return slic(
-            image, n_superpixels=20, max_iterations=3,
-            datapath=FixedDatapath(bits=8), **kw,
-        )
+    PARAMS = SlicParams(
+        n_superpixels=30, subsample_ratio=0.5, convergence_threshold=0.3
+    )
 
-    def test_param_off_matches_on(self, small_scene):
-        on = self._run(small_scene.image, fused_color=True)
-        off = self._run(small_scene.image, fused_color=False)
-        assert np.array_equal(on.labels, off.labels)
-        assert np.array_equal(on.centers, off.centers)
+    def test_warm_frame_with_cache_hits_is_bit_identical(self, small_scene):
+        from repro.core.assignment import _pixel_coords
+        from repro.core.neighbors import _candidate_map, _tile_map
+        from repro.core.subsampling import _schedule
 
-    def test_env_var_disables(self, small_scene, monkeypatch):
-        from repro.core.engine import FUSED_COLOR_ENV
+        image = small_scene.image
+        shifted = np.roll(image, 2, axis=1)
+        first = run_segmentation(image, self.PARAMS)
+        for memo in (_tile_map, _candidate_map, _schedule, _pixel_coords):
+            memo.cache_clear()
 
-        monkeypatch.setenv(FUSED_COLOR_ENV, "0")
-        off = self._run(small_scene.image)
-        monkeypatch.setenv(FUSED_COLOR_ENV, "1")
-        on = self._run(small_scene.image)
-        assert np.array_equal(on.labels, off.labels)
+        def warm():
+            return run_segmentation(
+                shifted, self.PARAMS, warm_centers=first.centers,
+                warm_labels=first.labels,
+            )
 
-    def test_fused_frames_counter(self, small_scene):
-        from repro.obs import MemorySink, Tracer
+        cold = warm()
+        hits_before = _tile_map.cache_info().hits
+        hot = warm()
+        assert _tile_map.cache_info().hits > hits_before
+        assert np.array_equal(cold.labels, hot.labels)
+        assert np.array_equal(cold.centers, hot.centers)
+        assert cold.movement_history == hot.movement_history
 
-        for flag, expected in ((True, 1), (False, 0)):
-            tracer = Tracer(MemorySink())
-            self._run(small_scene.image, fused_color=flag, tracer=tracer)
-            tracer.flush()
-            counts = [
-                e for e in tracer.sink.events
-                if e.get("name") == "color.fused_frames"
-            ]
-            assert len(counts) == expected, flag
-            tracer.close()
+    def test_memoized_arrays_are_shared_and_read_only(self):
+        from repro.core import candidate_map, make_schedule, tile_map
+        from repro.core.assignment import PixelArrays
+
+        tiles = tile_map((20, 30), 4, 6)
+        assert tile_map((20, 30), 4, 6) is tiles
+        cands = candidate_map(4, 6)
+        sched = make_schedule((20, 30), 0.5, "strided", 0)
+        assert make_schedule((20, 30), 0.5, "strided", 0) is sched
+        pixels = PixelArrays(np.zeros((20, 30, 3)), tiles)
+        for arr in (tiles, cands, sched.subset(0), pixels.x_flat):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    def test_contiguous_lab_is_not_copied(self):
+        from repro.core import tile_map
+        from repro.core.assignment import PixelArrays
+
+        lab = np.random.default_rng(0).standard_normal((8, 9, 3))
+        pixels = PixelArrays(lab, tile_map((8, 9), 2, 3))
+        assert np.shares_memory(pixels.lab_flat, lab)
 
 
 class TestCenterUpdateMemory:

@@ -82,10 +82,13 @@ class TestSelfTest:
             reset_supervision()
 
 
-    @pytest.mark.parametrize("kernel", ["sigma_accumulate", "lab_from_codes"])
+    @pytest.mark.parametrize(
+        "kernel", ["sigma_accumulate", "lab_from_codes", "lab_float"]
+    )
     def test_broken_new_kernels_fail_self_test(self, kernel, monkeypatch):
-        """A backend whose sigma/fused-color kernel returns garbage must
-        flunk its known-answer vector (the vectors are load-bearing)."""
+        """A backend whose sigma/fused-color/float-color kernel returns
+        garbage must flunk its known-answer vector (the vectors are
+        load-bearing)."""
         from repro.kernels import vectorized
 
         def garbage(*args, **kwargs):
@@ -95,6 +98,8 @@ class TestSelfTest:
                     np.ones((n, 5)),
                     np.zeros(n, dtype=np.int64),
                 )
+            if kernel == "lab_float":
+                return np.zeros(args[0].shape, dtype=np.float64)
             rgb = args[1]
             return (
                 np.zeros(rgb.shape, dtype=np.float64),
@@ -105,7 +110,9 @@ class TestSelfTest:
         with pytest.raises(ConfigurationError, match=kernel.split(".")[0]):
             self_test("vectorized")
 
-    @pytest.mark.parametrize("kernel", ["sigma_accumulate", "lab_from_codes"])
+    @pytest.mark.parametrize(
+        "kernel", ["sigma_accumulate", "lab_from_codes", "lab_float"]
+    )
     def test_broken_new_kernel_demotes(self, kernel, monkeypatch):
         from repro.kernels import vectorized
 
@@ -113,6 +120,8 @@ class TestSelfTest:
 
         def garbage(*args, **kwargs):
             out = real(*args, **kwargs)
+            if kernel == "lab_float":
+                return np.nextafter(out, np.inf)  # off by one ULP
             return (out[0] + 1, out[1])
 
         monkeypatch.setattr(vectorized, kernel, garbage)
@@ -143,6 +152,24 @@ class TestSupervisedResolve:
         assert verdict.name == survivor
         assert verdict.demoted_from == demoted_from
         assert verdict.demoted
+
+    @pytest.mark.parametrize("requested", DEMOTION_CHAIN[:-1])
+    def test_broken_lab_float_demotes_one_step(self, requested, monkeypatch):
+        """A float color kernel one ULP off anywhere in the chain costs
+        that backend its trust, and only that backend."""
+        _require(requested)
+        from repro.kernels.dispatch import _module
+
+        mod = _module(requested)
+        real = mod.lab_float
+
+        def off_by_one_ulp(*args, **kwargs):
+            return np.nextafter(real(*args, **kwargs), np.inf)
+
+        monkeypatch.setattr(mod, "lab_float", off_by_one_ulp)
+        verdict = supervised_resolve(requested)
+        assert verdict.name == _successor(requested)
+        assert verdict.demoted_from == requested
 
     def test_reference_failure_is_fatal(self):
         with pytest.raises(ConfigurationError, match="every kernel backend"):

@@ -33,7 +33,7 @@ from repro.core import (
 )
 from repro.core.assignment import PixelArrays
 from repro.kernels import available_backends, reference, supervisor
-from repro.kernels import native_mt
+from repro.kernels import native, native_mt, vectorized
 from repro.kernels.native_mt import resolve_threads, thread_context
 
 pytestmark = pytest.mark.skipif(
@@ -193,6 +193,46 @@ class TestLabFromCodesDifferential:
         assert np.array_equal(got_lab, want_lab)
         assert np.array_equal(got_codes, want_codes)
 
+    def test_equals_two_step_reference(self, nt):
+        """The fused traversal is the only fixed-datapath color path, so
+        it must equal the reference ``lab_codes`` followed by decode."""
+        rng = np.random.default_rng(23)
+        rgb = rng.integers(0, 256, size=(H, W, 3), dtype=np.uint8)
+        conv = HwColorConverter()
+        codes = reference.lab_codes(conv, rgb)
+        got_lab, got_codes = native_mt.lab_from_codes(conv, rgb, n_threads=nt)
+        assert np.array_equal(got_codes, codes)
+        assert np.array_equal(got_lab, conv.encoding.decode(codes))
+
+
+@pytest.mark.parametrize("nt", THREADS)
+class TestLabFloatDifferential:
+    """The float color contract on all four backends: the C kernel
+    works in 128-pixel blocks over per-thread pixel ranges, so widths up
+    to 300 leave ragged blocks and slices at every thread count."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 10_000), h=st.integers(1, 12),
+           w=st.integers(1, 300))
+    def test_random_images(self, nt, seed, h, w):
+        rng = np.random.default_rng(seed)
+        rgb = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+        want = reference.lab_float(rgb)
+        assert np.array_equal(vectorized.lab_float(rgb), want)
+        assert np.array_equal(native.lab_float(rgb), want)
+        assert np.array_equal(native_mt.lab_float(rgb, n_threads=nt), want)
+
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 7 * 128 + 5])
+    def test_block_and_slice_edges(self, nt, n):
+        rng = np.random.default_rng(n)
+        rgb = rng.integers(0, 256, size=(1, n, 3), dtype=np.uint8)
+        want = reference.lab_float(rgb)
+        assert np.array_equal(native_mt.lab_float(rgb, n_threads=nt), want)
+        assert np.array_equal(
+            native_mt.lab_float(rgb.reshape(n, 1, 3), n_threads=nt),
+            want.reshape(n, 1, 3),
+        )
+
 
 @pytest.mark.parametrize("nt", THREADS)
 class TestSigmaAccumulateDifferential:
@@ -320,6 +360,13 @@ class TestDegenerateShapes:
         got_lab, got_codes = native_mt.lab_from_codes(conv, rgb, n_threads=7)
         assert np.array_equal(got_lab, want_lab)
         assert np.array_equal(got_codes, want_codes)
+
+    @pytest.mark.parametrize("h,w", SHAPES)
+    def test_lab_float(self, h, w):
+        rng = np.random.default_rng(h * 10 + w + 3)
+        rgb = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+        want = reference.lab_float(rgb)
+        assert np.array_equal(native_mt.lab_float(rgb, n_threads=7), want)
 
     @pytest.mark.parametrize("h,w", SHAPES)
     def test_sigma_accumulate(self, h, w):
