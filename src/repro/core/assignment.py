@@ -22,6 +22,7 @@ import functools
 import numpy as np
 
 from .distance import FixedDatapath, pairwise_d2_float
+from .neighbors import tile_map
 
 __all__ = ["PixelArrays", "assign_ppa", "assign_cpa"]
 
@@ -40,12 +41,25 @@ def _pixel_coords(h: int, w: int):
     return x, y
 
 
+@functools.lru_cache(maxsize=4)
+def _tile_flat(h: int, w: int, grid_h: int, grid_w: int):
+    """Read-only flat int64 ``tile_map``, memoized per geometry."""
+    flat = tile_map((h, w), grid_h, grid_w).ravel().astype(np.int64)
+    flat.setflags(write=False)
+    return flat
+
+
 class PixelArrays:
     """Flat per-pixel arrays prepared once per run.
 
     Holds the Lab image (float and, when a fixed datapath is configured,
     code domain), integer pixel coordinates, and the tile index of every
     pixel. Assignment functions index these with subset index arrays.
+
+    ``grid=(grid_h, grid_w)`` says ``tile_of_pixel`` is the static
+    ``tile_map`` of that grid: ``tile_flat`` is then the shared,
+    read-only int64 copy memoized per geometry rather than a fresh copy
+    per frame.
     """
 
     def __init__(
@@ -54,6 +68,7 @@ class PixelArrays:
         tile_of_pixel: np.ndarray,
         datapath: FixedDatapath = None,
         codes: np.ndarray | None = None,
+        grid: tuple | None = None,
     ):
         h, w = lab.shape[:2]
         self.shape = (h, w)
@@ -63,7 +78,10 @@ class PixelArrays:
             -1, 3
         )
         self.x_flat, self.y_flat = _pixel_coords(h, w)
-        self.tile_flat = np.asarray(tile_of_pixel).ravel().astype(np.int64)
+        if grid is not None:
+            self.tile_flat = _tile_flat(h, w, *grid)
+        else:
+            self.tile_flat = np.asarray(tile_of_pixel).ravel().astype(np.int64)
         self.datapath = datapath
         if datapath is not None:
             if codes is None:

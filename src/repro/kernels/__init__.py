@@ -2,7 +2,8 @@
 
 The engine's inner loops — the CPA window scan, the PPA 9-candidate
 evaluation, connected-component labeling, the float and fixed-point
-RGB->Lab conversions, the small-component merge walk, and the BR/USE metric
+RGB->Lab conversions, the small-component merge walk, the whole
+connectivity pass built from those two, and the BR/USE metric
 histograms/distance transform — are implemented four times behind one
 contract:
 

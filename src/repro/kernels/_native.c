@@ -3,7 +3,8 @@
  * fixed-point RGB->Lab conversion (optionally fused with the
  * code->Lab decode), the sigma-register accumulation, the two-pass
  * union-find connected-components pass, the small-component merge walk,
- * and the BR/USE metric inner loops (joint histogram, 3-4 chamfer) as
+ * the fused connectivity enforcement built from those two, and the
+ * BR/USE metric inner loops (joint histogram, 3-4 chamfer) as
  * plain C loops.
  *
  * Compiled on demand by repro.kernels.native with
@@ -39,6 +40,7 @@
 #include <math.h>
 #include <pthread.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 /* ------------------------------------------------------------------ */
@@ -832,18 +834,16 @@ static int64_t uf_find(int64_t *parent, int64_t i)
     return i;
 }
 
-void merge_small(
-    const int64_t *starts,     /* n_comps CSR slice starts              */
-    const int64_t *ends,       /* n_comps CSR slice ends                */
+static void merge_walk(
+    const int64_t *starts,     /* CSR slice starts, by component id     */
+    const int64_t *ends,       /* CSR slice ends                        */
     const int64_t *dst,        /* edge target component ids             */
     const int64_t *border_len, /* edge shared-border weights            */
     int64_t min_size,
     const int64_t *order,      /* small components, increasing size     */
     int64_t n_order,
-    int64_t n_comps,
-    int64_t *parent,           /* n_comps, pre-set to identity          */
-    int64_t *merged_size,      /* n_comps, pre-set to sizes             */
-    int64_t *final_root)       /* n_comps output roots                  */
+    int64_t *parent,           /* pre-set to identity                   */
+    int64_t *merged_size)      /* pre-set to sizes                      */
 {
     for (int64_t i = 0; i < n_order; i++) {
         int64_t c = order[i];
@@ -868,6 +868,18 @@ void merge_small(
         int64_t new_root = uf_find(parent, best_root);
         merged_size[new_root] = merged_size[root_c] + merged_size[best_root];
     }
+}
+
+void merge_small(
+    const int64_t *starts, const int64_t *ends, const int64_t *dst,
+    const int64_t *border_len, int64_t min_size, const int64_t *order,
+    int64_t n_order, int64_t n_comps,
+    int64_t *parent,           /* n_comps, pre-set to identity          */
+    int64_t *merged_size,      /* n_comps, pre-set to sizes             */
+    int64_t *final_root)       /* n_comps output roots                  */
+{
+    merge_walk(starts, ends, dst, border_len, min_size, order, n_order,
+               parent, merged_size);
     for (int64_t i = 0; i < n_comps; i++)
         final_root[i] = uf_find(parent, i);
 }
@@ -1042,23 +1054,172 @@ int64_t ccl_i32_mt(
     return n_comps;
 }
 
-/* Resolve pre-decomposed runs against an explicit union pair list into
- * canonical dense component ids (the incremental-connectivity path:
- * Python rebuilds run structures only for dirty row bands and ships the
- * vertical adjacencies here). parent[r] holds run r's dense id on
- * return; the return value is the component count.                     */
-int64_t ccl_resolve(
-    const int64_t *pair_a,     /* n_pairs union endpoints               */
-    const int64_t *pair_b,
-    int64_t n_pairs,
-    int64_t n_runs,
-    int64_t *parent)           /* n_runs, overwritten                   */
+/* ------------------------------------------------------------------ */
+/* Connectivity enforcement in one call: the CCL above, each
+ * component's size and superpixel label, the border-length adjacency
+ * of the small components, their size order, the merge walk, and the
+ * relabel. Output is bit-identical to the numpy composition the
+ * reference/vectorized backends run (repro.core.connectivity):
+ *
+ *  - adjacency is built only for components below min_size. The walk
+ *    reads the neighbor slice of the component it merges and nothing
+ *    else, and only small components ever start a merge;
+ *  - a small component's slice holds each distinct neighbor once with
+ *    its shared-border length (pixel edges). Slice order is free: the
+ *    tie rule (longest border, then lowest neighbor id) totally orders
+ *    distinct neighbors. A component of s pixels has a perimeter of at
+ *    most 2s + 2 edges, which bounds its slice before deduplication;
+ *  - small components are ordered by a counting sort on size, placed
+ *    in ascending component id within a size — exactly
+ *    np.argsort(sizes, kind="stable") restricted to sizes < min_size.
+ *
+ * With n_threads > 1 the CCL row bands and the final relabel (pixel
+ * ranges) run on the pool by ownership; the size count, adjacency scan,
+ * sort and walk are serial. All of it is integer arithmetic, so the
+ * output is identical at any thread count. `out` doubles as the
+ * component map until the relabel. Returns the component count, or -1
+ * when scratch allocation fails (out is then unspecified).             */
+/* ------------------------------------------------------------------ */
+
+typedef struct {
+    int32_t *out;
+    const int32_t *comp_label;
+    int64_t n;
+} relabel_ctx;
+
+static void relabel_chunk(void *vctx, int64_t tid, int64_t width)
 {
-    for (int64_t r = 0; r < n_runs; r++)
-        parent[r] = r;
-    for (int64_t i = 0; i < n_pairs; i++)
-        uf_union_min(parent, pair_a[i], pair_b[i]);
-    return ccl_renumber(parent, n_runs);
+    relabel_ctx *c = (relabel_ctx *)vctx;
+    int64_t hi = mt_slice_hi(c->n, tid, width);
+    for (int64_t i = mt_slice_lo(c->n, tid, width); i < hi; i++)
+        c->out[i] = c->comp_label[c->out[i]];
+}
+
+/* Record one shared pixel edge in a's slice when a is small. */
+static void adj_push(int64_t a, int64_t b, const int64_t *size,
+                     int64_t min_size, int64_t *end, int64_t *nb)
+{
+    if (size[a] < min_size)
+        nb[end[a]++] = b;
+}
+
+int64_t enforce_connectivity_i32(
+    const int32_t *labels,     /* h*w superpixel label map              */
+    int64_t h, int64_t w,
+    int64_t min_size,
+    int32_t *out,              /* h*w output label map                  */
+    int64_t n_threads)
+{
+    int64_t n = h * w;
+    int64_t *parent = malloc((size_t)n * sizeof *parent);
+    if (!parent) return -1;
+    int64_t n_comps = ccl_i32_mt(labels, h, w, out, parent, n_threads);
+
+    int64_t *size = calloc((size_t)n_comps, sizeof *size);
+    int32_t *comp_label = malloc((size_t)n_comps * sizeof *comp_label);
+    int64_t *off = malloc((size_t)(n_comps + 1) * sizeof *off);
+    int64_t *end = malloc((size_t)n_comps * sizeof *end);
+    int64_t *nb = 0, *wt = 0, *slot = 0, *order = 0, *bucket = 0;
+    int64_t result = -1;
+    if (!size || !comp_label || !off || !end) goto done;
+    for (int64_t i = 0; i < n; i++) {
+        size[out[i]]++;
+        comp_label[out[i]] = labels[i];
+    }
+    int64_t n_small = 0;
+    off[0] = 0;
+    for (int64_t c = 0; c < n_comps; c++) {
+        int64_t small = size[c] < min_size;
+        n_small += small;
+        off[c + 1] = off[c] + (small ? 2 * size[c] + 2 : 0);
+        end[c] = off[c];
+    }
+    if (n_small == 0 || n_comps == 1) {
+        /* Nothing can merge: components are label-pure, so the relabel
+         * would reproduce the input exactly.                           */
+        memcpy(out, labels, (size_t)n * sizeof *out);
+        result = n_comps;
+        goto done;
+    }
+
+    /* Adjacency of the small components: every right/down pixel edge
+     * between two components, pushed onto each small endpoint.        */
+    nb = malloc((size_t)off[n_comps] * sizeof *nb);
+    wt = malloc((size_t)off[n_comps] * sizeof *wt);
+    slot = malloc((size_t)n_comps * sizeof *slot);
+    order = malloc((size_t)n_small * sizeof *order);
+    int64_t n_buckets = min_size < n + 1 ? min_size : n + 1;
+    bucket = calloc((size_t)n_buckets, sizeof *bucket);
+    if (!nb || !wt || !slot || !order || !bucket) goto done;
+    for (int64_t y = 0; y < h; y++) {
+        const int32_t *row = out + y * w;
+        for (int64_t x = 0; x < w; x++) {
+            int64_t a = row[x];
+            if (x + 1 < w && row[x + 1] != a) {
+                adj_push(a, row[x + 1], size, min_size, end, nb);
+                adj_push(row[x + 1], a, size, min_size, end, nb);
+            }
+            if (y + 1 < h && row[x + w] != a) {
+                adj_push(a, row[x + w], size, min_size, end, nb);
+                adj_push(row[x + w], a, size, min_size, end, nb);
+            }
+        }
+    }
+    /* Deduplicate each slice in place, counting border lengths.       */
+    for (int64_t c = 0; c < n_comps; c++)
+        slot[c] = -1;
+    for (int64_t c = 0; c < n_comps; c++) {
+        if (size[c] >= min_size) continue;
+        int64_t k = off[c];
+        for (int64_t e = off[c]; e < end[c]; e++) {
+            int64_t b = nb[e];
+            if (slot[b] < 0) {
+                slot[b] = k;
+                nb[k] = b;
+                wt[k++] = 1;
+            } else {
+                wt[slot[b]]++;
+            }
+        }
+        for (int64_t e = off[c]; e < k; e++)
+            slot[nb[e]] = -1;
+        end[c] = k;
+    }
+    /* Counting sort of the small components by size, stable by id.    */
+    for (int64_t c = 0; c < n_comps; c++)
+        if (size[c] < min_size) bucket[size[c]]++;
+    for (int64_t s = 0, at = 0; s < n_buckets; s++) {
+        int64_t count = bucket[s];
+        bucket[s] = at;
+        at += count;
+    }
+    for (int64_t c = 0; c < n_comps; c++)
+        if (size[c] < min_size) order[bucket[size[c]]++] = c;
+
+    for (int64_t c = 0; c < n_comps; c++)
+        parent[c] = c;
+    merge_walk(off, end, nb, wt, min_size, order, n_small, parent, size);
+    /* Roots keep their own label, so an in-place gather is safe.      */
+    for (int64_t c = 0; c < n_comps; c++)
+        comp_label[c] = comp_label[uf_find(parent, c)];
+    relabel_ctx ctx = {out, comp_label, n};
+    if (n_threads < 2)
+        relabel_chunk(&ctx, 0, 1);
+    else
+        mt_run(relabel_chunk, &ctx, n_threads);
+    result = n_comps;
+done:
+    free(parent);
+    free(size);
+    free(comp_label);
+    free(off);
+    free(end);
+    free(nb);
+    free(wt);
+    free(slot);
+    free(order);
+    free(bucket);
+    return result;
 }
 
 /* ------------------------------------------------------------------ */

@@ -3,7 +3,8 @@
 Four backends implement the same kernel contract (``cpa_assign``,
 ``ppa_assign``, ``connected_components``, ``lab_float``, ``lab_codes``,
 ``lab_from_codes``, ``sigma_accumulate``, ``merge_small``,
-``contingency_table``, ``chamfer_distance``; see ``docs/kernels.md``):
+``enforce_connectivity``, ``contingency_table``, ``chamfer_distance``;
+see ``docs/kernels.md``):
 
 * ``reference`` — the original loops in :mod:`repro.core`;
 * ``vectorized`` — batched pure numpy, always available;

@@ -51,7 +51,7 @@ __all__ = [
     "cpa_assign",
     "ppa_assign",
     "connected_components",
-    "resolve_runs",
+    "enforce_connectivity",
     "lab_codes",
     "lab_from_codes",
     "lab_float",
@@ -202,8 +202,9 @@ def _declare(lib) -> None:
     ]
     lib.ccl_i32.restype = ll
     lib.ccl_i32.argtypes = [i32, ll, ll, i32, i64]
-    lib.ccl_resolve.restype = ll
-    lib.ccl_resolve.argtypes = [i64, i64, ll, ll, i64]
+    # Serial and threaded in one entry: the last argument is n_threads.
+    lib.enforce_connectivity_i32.restype = ll
+    lib.enforce_connectivity_i32.argtypes = [i32, ll, ll, ll, i32, ll]
     lib.contingency_i64.restype = None
     lib.contingency_i64.argtypes = [i64, i64, ll, ll, i64]
     lib.chamfer_i64.restype = None
@@ -610,20 +611,29 @@ def connected_components(labels, _n_threads=None):
     return comps, int(n)
 
 
-def resolve_runs(pair_a, pair_b, n_runs):
-    """Union run-id pairs and renumber: ``dense_ids, n_comps``.
+def enforce_connectivity(labels, min_size, _n_threads=1):
+    """Connectivity enforcement in one C call; see ``compose_connectivity``.
 
-    The incremental-connectivity helper: run decomposition happens in
-    numpy (only dirty row bands are rebuilt), the union-find resolve
-    happens here. Dense ids are in first-appearance (minimal run id)
-    order, identical to the full CCL kernels.
+    CCL, component sizes and labels, the small components' adjacency,
+    their size order, the merge walk and the relabel all run inside
+    ``enforce_connectivity_i32``. Maps too large for the int32 scratch
+    fall back to the vectorized backend, like ``connected_components``.
     """
+    labels = validate_label_map(labels)
+    h, w = labels.shape
+    if h * w >= 2**31:
+        from . import vectorized
+
+        return vectorized.enforce_connectivity(labels, min_size)
     lib = load()
-    pair_a = np.ascontiguousarray(pair_a, dtype=np.int64)
-    pair_b = np.ascontiguousarray(pair_b, dtype=np.int64)
-    parent = np.empty(int(n_runs), dtype=np.int64)
-    n = lib.ccl_resolve(pair_a, pair_b, len(pair_a), int(n_runs), parent)
-    return parent, int(n)
+    out = np.empty((h, w), dtype=np.int32)
+    n = lib.enforce_connectivity_i32(
+        np.ascontiguousarray(labels, dtype=np.int32).reshape(-1), h, w,
+        int(min_size), out.reshape(-1), int(_n_threads),
+    )
+    if n < 0:
+        raise MemoryError("enforce_connectivity: scratch allocation failed")
+    return out
 
 
 def merge_small(sizes, starts, ends, dst, border_len, min_size, order):

@@ -20,7 +20,8 @@ renumber) run sequentially. ``connected_components`` tiles row bands
 with per-band run decomposition and union-by-minimal-root, so component
 roots — and the canonical first-appearance renumbering — are
 independent of thread count (see the CCL section in ``_native.c``).
-The inherently sequential kernels (``merge_small``'s greedy walk, the
+``enforce_connectivity`` threads that CCL and its final relabel and
+runs the steps between them serially. The inherently sequential kernels (``merge_small``'s greedy walk, the
 raster-ordered chamfer sweeps) delegate to their serial
 implementations.
 
@@ -63,6 +64,7 @@ __all__ = [
     "lab_float",
     "sigma_accumulate",
     "merge_small",
+    "enforce_connectivity",
     "contingency_table",
     "chamfer_distance",
 ]
@@ -319,6 +321,20 @@ def connected_components(labels, n_threads=None):
     """
     return native.connected_components(
         labels, _n_threads=resolve_threads(n_threads)
+    )
+
+
+def enforce_connectivity(labels, min_size, n_threads=None):
+    """Connectivity enforcement in one C call, CCL and relabel threaded.
+
+    The CCL runs in row bands as in :func:`connected_components` and the
+    final relabel in pixel ranges, both by ownership; the size count,
+    adjacency scan, counting sort and merge walk between them are
+    serial. Integer arithmetic throughout, so labels are bit-identical
+    at any thread count.
+    """
+    return native.enforce_connectivity(
+        labels, min_size, _n_threads=resolve_threads(n_threads)
     )
 
 

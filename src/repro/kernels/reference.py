@@ -19,6 +19,9 @@ from ..core.assignment import assign_ppa as ppa_assign
 from ..core.connectivity import (
     connected_components_reference as connected_components,
 )
+from ..core.connectivity import (
+    enforce_connectivity_reference as enforce_connectivity,
+)
 from ..core.connectivity import merge_small_reference as merge_small
 from ..metrics.boundaries import (
     chamfer_distance_reference as chamfer_distance,
@@ -36,6 +39,7 @@ __all__ = [
     "lab_float",
     "sigma_accumulate",
     "merge_small",
+    "enforce_connectivity",
     "contingency_table",
     "chamfer_distance",
     "is_available",

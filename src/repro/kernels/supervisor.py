@@ -97,8 +97,8 @@ def self_test(name: str) -> None:
 
     Exercises every kernel in the contract (CPA scan, Lab conversion —
     fixed-point two-step and fused, and the float color contract —
-    sigma accumulation, merge walk, metric
-    histogram/chamfer) on tiny fixed inputs and
+    sigma accumulation, CCL, merge walk, the whole connectivity pass,
+    metric histogram/chamfer) on tiny fixed inputs and
     compares against the reference loops, raising
     :class:`ConfigurationError` with the mismatch detail on any
     difference. Cheap (a 6 x 9 image and a handful of components) —
@@ -252,6 +252,23 @@ def self_test(name: str) -> None:
         odd_comps, odd_n = backend.connected_components(ring, n_threads=3)
         check("connected_components@3t", odd_comps, want_comps)
         check("connected_components.n@3t", odd_n, want_n)
+
+    # Whole connectivity pass on the same ring: at min_size 13 the
+    # strays, the inner island and both halves of the outer band merge,
+    # chaining through one another.
+    want_conn = reference.enforce_connectivity(ring, 13)
+    with pinned():
+        check(
+            "enforce_connectivity",
+            backend.enforce_connectivity(ring, 13),
+            want_conn,
+        )
+    if name == "native-mt":
+        check(
+            "enforce_connectivity@3t",
+            backend.enforce_connectivity(ring, 13, n_threads=3),
+            want_conn,
+        )
 
     # Merge walk: 4 components, CSR adjacency with a weight tie (1<->3).
     sizes = np.array([2, 9, 1, 8], dtype=np.int64)

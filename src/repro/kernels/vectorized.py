@@ -20,6 +20,8 @@ Portable optimized backend — no compiler required. The kernels:
 * :func:`merge_small` — the greedy small-component merge walk with the
   per-component neighbor scan batched (vectorized root resolution and
   ``np.lexsort`` best-neighbor selection).
+* :func:`enforce_connectivity` — the numpy composition of the two
+  kernels above (``repro.core.connectivity.compose_connectivity``).
 * ``contingency_table`` / ``chamfer_distance`` — the numpy reference
   implementations are already batched; aliased as-is.
 
@@ -40,6 +42,7 @@ from ..color.reference import (  # noqa: F401 — the numpy contract is the batc
 from ..core.assignment import _PPA_CHUNK, PixelArrays
 from ..core.connectivity import (
     _min_propagate,
+    compose_connectivity,
     _resolve_roots,
     _run_ids,
     _UnionFind,
@@ -62,6 +65,7 @@ __all__ = [
     "lab_float",
     "sigma_accumulate",
     "merge_small",
+    "enforce_connectivity",
     "contingency_table",
     "chamfer_distance",
     "is_available",
@@ -448,3 +452,10 @@ def merge_small(
         new_root = uf.find(target_root)
         merged_size[new_root] = merged_size[root_c] + merged_size[target_root]
     return _resolve_roots(uf.parent, np.arange(n_comps, dtype=np.int64))
+
+
+def enforce_connectivity(labels: np.ndarray, min_size: int) -> np.ndarray:
+    """Connectivity enforcement from this backend's CCL and merge walk."""
+    return compose_connectivity(
+        labels, min_size, connected_components, merge_small
+    )

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import connected_components, enforce_connectivity
-from repro.core.connectivity import ConnectivityState
-from repro.kernels import available_backends
+from repro.core.connectivity import enforce_connectivity_reference
+from repro.kernels import available_backends, get_backend
 
 BACKENDS = available_backends()
 
@@ -238,128 +238,110 @@ class TestNoOpSemantics:
         assert np.array_equal(out, labels)
 
 
-def _frames(h=64, w=48, patch=None):
-    """A base label map and a copy with a small patch of motion."""
-    rng = np.random.default_rng(21)
-    base = rng.integers(0, 6, (h, w)).astype(np.int32)
-    warm = base.copy()
-    if patch is not None:
-        y, x = patch
-        warm[y:y + 4, x:x + 4] = 5
-    return base, warm
+def _fused_impls():
+    """Every backend's ``enforce_connectivity`` kernel, and native-mt's
+    at 1, 2, 4 and 7 threads (7 leaves remainder bands and ranges)."""
+    impls = []
+    for name in BACKENDS:
+        if name == "native-mt":
+            for nt in (1, 2, 4, 7):
+                impls.append(pytest.param((name, nt), id=f"{name}@{nt}"))
+        else:
+            impls.append(pytest.param((name, None), id=name))
+    return impls
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-class TestConnectivityState:
-    """Incremental video connectivity: the state is a pure cache —
-    dropping it, evicting it, or feeding it any frame sequence never
-    changes the output, only ``tiles_resolved``."""
+def _call(impl, labels, min_size):
+    name, n_threads = impl
+    kernel = get_backend(name).enforce_connectivity
+    if n_threads is None:
+        return kernel(labels, min_size)
+    return kernel(labels, min_size, n_threads=n_threads)
 
-    def test_warm_output_bit_identical_to_stateless(self, backend):
-        base, warm = _frames(patch=(30, 20))
-        state = ConnectivityState(band_rows=16)
-        cold = enforce_connectivity(base, 8, backend=backend, state=state)
-        hot = enforce_connectivity(warm, 8, backend=backend, state=state)
-        assert np.array_equal(
-            cold, enforce_connectivity(base, 8, backend=backend)
-        )
-        assert np.array_equal(
-            hot, enforce_connectivity(warm, 8, backend=backend)
-        )
 
-    def test_warm_frame_resolves_strictly_fewer_tiles(self, backend):
-        # The ISSUE's acceptance counter: a warm frame with small motion
-        # must re-resolve strictly fewer bands than the cold frame.
-        base, warm = _frames(patch=(30, 20))
-        state = ConnectivityState(band_rows=16)
-        enforce_connectivity(base, 8, backend=backend, state=state)
-        cold_tiles = state.tiles_resolved
-        assert cold_tiles == state.tiles_total  # cold = everything dirty
-        enforce_connectivity(warm, 8, backend=backend, state=state)
-        assert state.tiles_resolved < cold_tiles
-        assert state.tiles_resolved >= 1
+@pytest.fixture(scope="module")
+def vga_pre_connectivity():
+    """A real VGA label map as the engine hands it to connectivity."""
+    from repro.core import slic
+    from repro.data import SceneConfig, generate_scene
 
-    def test_identical_frame_shortcut_zero_tiles(self, backend):
-        base, _ = _frames()
-        state = ConnectivityState(band_rows=16)
-        first = enforce_connectivity(base, 8, backend=backend, state=state)
-        second = enforce_connectivity(base, 8, backend=backend, state=state)
-        assert state.tiles_resolved == 0
-        assert np.array_equal(first, second)
-        assert first is not second  # still a caller-owned buffer
+    img = generate_scene(SceneConfig(height=480, width=640), seed=3).image
+    return slic(img, n_superpixels=300, enforce_connectivity=False).labels
 
-    def test_min_size_change_invalidates_shortcut(self, backend):
-        # Same labels, different min_size: the cached output is for the
-        # old policy and must not be replayed.
-        base = np.zeros((32, 32), dtype=np.int32)
-        base[10:12, 10:12] = 1  # 4-px fragment
-        state = ConnectivityState(band_rows=16)
-        kept = enforce_connectivity(base, 2, backend=backend, state=state)
-        assert 1 in kept
-        merged = enforce_connectivity(base, 8, backend=backend, state=state)
-        assert 1 not in merged
-        assert np.array_equal(
-            merged, enforce_connectivity(base, 8, backend=backend)
-        )
 
-    def test_failed_merge_retry_does_not_replay_stale_output(self, backend):
-        # If enforce_connectivity dies between state.components() and
-        # record_output() (kernel error mid-merge) and the frame is
-        # retried with the same state, the retry sees zero dirty tiles —
-        # the identical-frame shortcut must NOT hand back the previous
-        # frame's output.
-        base, warm = _frames(patch=(30, 20))
-        state = ConnectivityState(band_rows=16)
-        enforce_connectivity(base, 8, backend=backend, state=state)
-        # Simulate the failure: components() runs for the new frame, but
-        # the merge never completes, so record_output() is never called.
-        comps, n_comps, shortcut = state.components(warm, 8, backend=backend)
-        assert shortcut is None
-        retry = enforce_connectivity(warm, 8, backend=backend, state=state)
-        assert state.tiles_resolved == 0  # the dangerous path: all clean
-        assert np.array_equal(
-            retry, enforce_connectivity(warm, 8, backend=backend)
-        )
+@pytest.mark.parametrize("impl", _fused_impls())
+class TestFusedPass:
+    """The ``enforce_connectivity`` kernel on every backend and thread
+    count against the reference composition, on the shapes that stress
+    each of its stages: CCL, sizes, small-component adjacency, the
+    counting-sort order and the merge walk."""
 
-    def test_shape_change_resets_cleanly(self, backend):
-        big, _ = _frames(h=64, w=48)
-        small = big[:32, :24].copy()
-        state = ConnectivityState(band_rows=16)
-        enforce_connectivity(big, 8, backend=backend, state=state)
-        out = enforce_connectivity(small, 8, backend=backend, state=state)
-        assert state.tiles_resolved == state.tiles_total
-        assert np.array_equal(
-            out, enforce_connectivity(small, 8, backend=backend)
-        )
+    def _check(self, impl, labels, min_size):
+        want = enforce_connectivity_reference(labels, min_size)
+        before = labels.copy()
+        got = _call(impl, labels, min_size)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, want)
+        assert np.array_equal(labels, before)  # input never mutated
+        return got
 
-    def test_min_size_leq_one_leaves_cache_consistent(self, backend):
-        base, warm = _frames(patch=(10, 10))
-        state = ConnectivityState(band_rows=16)
-        enforce_connectivity(base, 8, backend=backend, state=state)
-        # A min_size<=1 call is a pure no-op: counters zero, caches
-        # untouched, and the next real call still resolves correctly.
-        out = enforce_connectivity(warm, 1, backend=backend, state=state)
-        assert np.array_equal(out, warm)
-        assert state.tiles_resolved == 0
-        after = enforce_connectivity(warm, 8, backend=backend, state=state)
-        assert np.array_equal(
-            after, enforce_connectivity(warm, 8, backend=backend)
-        )
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1)])
+    def test_degenerate_shapes(self, impl, shape):
+        rng = np.random.default_rng(5)
+        labels = rng.integers(0, 3, shape).astype(np.int32)
+        for min_size in (1, 2, 3, 100):
+            self._check(impl, labels, min_size)
 
-    def test_long_sequence_matches_stateless(self, backend):
-        # Arbitrary mixed sequence (moving patch, repeats, big jumps):
-        # every stateful output equals the stateless one.
-        rng = np.random.default_rng(33)
-        state = ConnectivityState(band_rows=8)
-        frame = rng.integers(0, 5, (40, 32)).astype(np.int32)
-        for step in range(6):
-            if step % 3 == 2:
-                frame = rng.integers(0, 5, (40, 32)).astype(np.int32)
-            elif step % 3 == 1:
-                frame = frame.copy()
-                frame[12:18, 8:14] = step % 5
-            stateful = enforce_connectivity(
-                frame, 6, backend=backend, state=state
-            )
-            stateless = enforce_connectivity(frame, 6, backend=backend)
-            assert np.array_equal(stateful, stateless)
+    def test_uniform_map(self, impl):
+        labels = np.full((7, 5), 4, dtype=np.int32)
+        out = self._check(impl, labels, 6)
+        assert np.array_equal(out, labels)
+
+    def test_ring_with_enclosed_islands(self, impl):
+        labels = np.zeros((14, 16), dtype=np.int32)
+        labels[2:12, 2:14] = 1
+        labels[4:10, 4:12] = 0
+        labels[6, 6] = 2  # a one-pixel island inside the inner island
+        labels[7:9, 9:11] = 3
+        for min_size in (2, 5, 20, 60, 150):
+            self._check(impl, labels, min_size)
+
+    def test_min_size_at_or_beyond_image_area(self, impl):
+        labels = np.zeros((6, 8), dtype=np.int32)
+        labels[:, 4:] = 1
+        labels[2, 1] = 2
+        for min_size in (48, 49, 10_000):
+            out = self._check(impl, labels, min_size)
+            assert len(np.unique(out)) == 1
+
+    def test_min_size_leq_one_fresh_copy(self, impl):
+        rng = np.random.default_rng(12)
+        labels = rng.integers(0, 4, (8, 9)).astype(np.int32)
+        for min_size in (-3, 0, 1):
+            out = self._check(impl, labels, min_size)
+            assert np.array_equal(out, labels)
+            assert out is not labels
+            out[0, 0] = 99
+            assert labels[0, 0] != 99
+
+    def test_border_tie_goes_to_lowest_component(self, impl):
+        # The middle stripe borders components 0 and 2 for 4 px each.
+        labels = np.zeros((4, 9), dtype=np.int32)
+        labels[:, 4] = 1
+        labels[:, 5:] = 2
+        out = self._check(impl, labels, 5)
+        assert (out[:, 4] == 0).all()
+
+    def test_chain_of_small_fragments(self, impl):
+        labels = np.zeros((6, 20), dtype=np.int32)
+        labels[2:4, 8:10] = 1
+        labels[2:4, 10:12] = 2
+        labels[2:4, 12:14] = 3
+        labels[2:4, 14:16] = 4
+        out = self._check(impl, labels, 8)
+        assert (out == 0).all()
+
+    def test_real_vga_pre_connectivity_map(self, impl, vga_pre_connectivity):
+        labels = vga_pre_connectivity
+        for min_size in (1, 64, 256):
+            self._check(impl, labels, min_size)

@@ -216,14 +216,16 @@ class TestGeometryCaches:
     )
 
     def test_warm_frame_with_cache_hits_is_bit_identical(self, small_scene):
-        from repro.core.assignment import _pixel_coords
+        from repro.core.assignment import _pixel_coords, _tile_flat
         from repro.core.neighbors import _candidate_map, _tile_map
         from repro.core.subsampling import _schedule
 
         image = small_scene.image
         shifted = np.roll(image, 2, axis=1)
         first = run_segmentation(image, self.PARAMS)
-        for memo in (_tile_map, _candidate_map, _schedule, _pixel_coords):
+        for memo in (
+            _tile_map, _candidate_map, _schedule, _pixel_coords, _tile_flat
+        ):
             memo.cache_clear()
 
         def warm():
@@ -253,6 +255,36 @@ class TestGeometryCaches:
         for arr in (tiles, cands, sched.subset(0), pixels.x_flat):
             with pytest.raises(ValueError):
                 arr[0] = 1
+
+    def test_flat_tile_map_shared_across_frames(self, small_scene):
+        from repro.core import grid_geometry, tile_map
+        from repro.core.assignment import PixelArrays, _tile_flat
+
+        image = small_scene.image
+        h, w = image.shape[:2]
+        grid_h, grid_w, _, _ = grid_geometry((h, w), 30)
+        tiles = tile_map((h, w), grid_h, grid_w)
+        a = PixelArrays(np.zeros((h, w, 3)), tiles, grid=(grid_h, grid_w))
+        b = PixelArrays(np.ones((h, w, 3)), tiles, grid=(grid_h, grid_w))
+        assert a.tile_flat is b.tile_flat
+        assert a.tile_flat.dtype == np.int64
+        assert np.array_equal(a.tile_flat, tiles.ravel())
+        with pytest.raises(ValueError):
+            a.tile_flat[0] = 1
+
+        # The engine builds its pixel arrays the same way: a cold and a
+        # warm frame convert the tile map once, and the warm frame is
+        # bit-identical to one run after the memo was dropped.
+        _tile_flat.cache_clear()
+        first = run_segmentation(image, self.PARAMS)
+        warm = dict(warm_centers=first.centers, warm_labels=first.labels)
+        second = run_segmentation(image, self.PARAMS, **warm)
+        info = _tile_flat.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        _tile_flat.cache_clear()
+        again = run_segmentation(image, self.PARAMS, **warm)
+        assert np.array_equal(second.labels, again.labels)
+        assert np.array_equal(second.centers, again.centers)
 
     def test_contiguous_lab_is_not_copied(self):
         from repro.core import tile_map

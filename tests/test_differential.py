@@ -37,7 +37,10 @@ from repro.core import (
     tile_map,
 )
 from repro.core.assignment import PixelArrays, assign_cpa, assign_ppa
-from repro.core.connectivity import ConnectivityState, enforce_connectivity
+from repro.core.connectivity import (
+    enforce_connectivity,
+    enforce_connectivity_reference,
+)
 from repro.core.subsampling import make_schedule
 from repro.data import SceneConfig, generate_scene
 from repro.kernels import available_backends, get_backend
@@ -356,31 +359,31 @@ class TestMergeChainSemantics:
         assert np.array_equal(got, want)
 
 
-class TestIncrementalConnectivityDifferential:
-    """The warm-started incremental path vs the stateless resolve."""
+class TestFusedConnectivityDifferential:
+    """The ``enforce_connectivity`` kernel of every backend vs the
+    reference composition (reference CCL + reference merge walk)."""
 
-    @settings(max_examples=12, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 10_000),
-        k=st.integers(2, 6),
-        min_size=st.integers(2, 24),
-        py=st.integers(0, 28),
-        px=st.integers(0, 18),
+        h=st.integers(1, 36),
+        w=st.integers(1, 28),
+        k=st.integers(1, 6),
+        min_size=st.one_of(st.integers(-1, 40), st.just(10_000)),
+        n_threads=st.sampled_from([1, 2, 4, 7]),
     )
-    def test_patched_frame_sequence_bit_identical(
-        self, seed, k, min_size, py, px
+    def test_fused_pass_matches_composition(
+        self, seed, h, w, k, min_size, n_threads
     ):
-        base = _random_labels(seed, 36, 24, k)
-        moved = base.copy()
-        moved[py:py + 5, px:px + 4] = (seed + 1) % k
+        labels = _random_labels(seed, h, w, k)
+        want = enforce_connectivity_reference(labels, min_size)
         for name in available_backends():
-            state = ConnectivityState(band_rows=8)
-            for frame in (base, moved, moved, base):
-                got = enforce_connectivity(
-                    frame, min_size, backend=name, state=state
-                )
-                want = enforce_connectivity(frame, min_size, backend=name)
-                assert np.array_equal(got, want), name
+            kernel = get_backend(name).enforce_connectivity
+            if name == "native-mt":
+                got = kernel(labels, min_size, n_threads=n_threads)
+            else:
+                got = kernel(labels, min_size)
+            assert np.array_equal(got, want), (name, n_threads)
 
 
 def _point_d2(lab, centers, weight, k, x, y):

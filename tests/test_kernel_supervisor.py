@@ -83,7 +83,9 @@ class TestSelfTest:
 
 
     @pytest.mark.parametrize(
-        "kernel", ["sigma_accumulate", "lab_from_codes", "lab_float"]
+        "kernel",
+        ["sigma_accumulate", "lab_from_codes", "lab_float",
+         "enforce_connectivity"],
     )
     def test_broken_new_kernels_fail_self_test(self, kernel, monkeypatch):
         """A backend whose sigma/fused-color/float-color kernel returns
@@ -100,6 +102,8 @@ class TestSelfTest:
                 )
             if kernel == "lab_float":
                 return np.zeros(args[0].shape, dtype=np.float64)
+            if kernel == "enforce_connectivity":
+                return np.array(args[0], dtype=np.int32)  # no merges
             rgb = args[1]
             return (
                 np.zeros(rgb.shape, dtype=np.float64),
@@ -111,7 +115,9 @@ class TestSelfTest:
             self_test("vectorized")
 
     @pytest.mark.parametrize(
-        "kernel", ["sigma_accumulate", "lab_from_codes", "lab_float"]
+        "kernel",
+        ["sigma_accumulate", "lab_from_codes", "lab_float",
+         "enforce_connectivity"],
     )
     def test_broken_new_kernel_demotes(self, kernel, monkeypatch):
         from repro.kernels import vectorized
@@ -122,6 +128,9 @@ class TestSelfTest:
             out = real(*args, **kwargs)
             if kernel == "lab_float":
                 return np.nextafter(out, np.inf)  # off by one ULP
+            if kernel == "enforce_connectivity":
+                out[-1, -1] += 1  # one pixel relabelled
+                return out
             return (out[0] + 1, out[1])
 
         monkeypatch.setattr(vectorized, kernel, garbage)
@@ -167,6 +176,28 @@ class TestSupervisedResolve:
             return np.nextafter(real(*args, **kwargs), np.inf)
 
         monkeypatch.setattr(mod, "lab_float", off_by_one_ulp)
+        verdict = supervised_resolve(requested)
+        assert verdict.name == _successor(requested)
+        assert verdict.demoted_from == requested
+
+    @pytest.mark.parametrize("requested", DEMOTION_CHAIN[:-1])
+    def test_broken_enforce_connectivity_demotes_one_step(
+        self, requested, monkeypatch
+    ):
+        """A connectivity pass that relabels one pixel wrongly anywhere
+        in the chain costs that backend its trust, and only that one."""
+        _require(requested)
+        from repro.kernels.dispatch import _module
+
+        mod = _module(requested)
+        real = mod.enforce_connectivity
+
+        def one_pixel_off(*args, **kwargs):
+            out = real(*args, **kwargs)
+            out[0, 0] += 1
+            return out
+
+        monkeypatch.setattr(mod, "enforce_connectivity", one_pixel_off)
         verdict = supervised_resolve(requested)
         assert verdict.name == _successor(requested)
         assert verdict.demoted_from == requested

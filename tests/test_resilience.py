@@ -398,6 +398,27 @@ class TestCheckpoint:
         for a, b in zip(full.records, again.records):
             _assert_bit_identical(a, b)
 
+    def test_resume_from_legacy_journal_with_tiles_resolved(self, tmp_path):
+        # Journals written while connectivity kept a per-stream band
+        # cache carry a "tiles_resolved" key in every result; they must
+        # still load and resume bit-identically.
+        import json
+
+        journal = tmp_path / "journal.jsonl"
+        frames = _tiny_batch(3, seed=5)
+        full = ParallelRunner(PARAMS, checkpoint=journal).run_streams([frames])
+        lines = journal.read_text().splitlines()
+        legacy = [lines[0]]
+        for line in lines[1:3]:
+            payload = json.loads(line)
+            payload["result"]["tiles_resolved"] = 17
+            legacy.append(json.dumps(payload))
+        journal.write_text("\n".join(legacy) + "\n")
+        resumed = ParallelRunner(PARAMS, checkpoint=journal).resume([frames])
+        assert resumed.resumed_frames == 2
+        for a, b in zip(full.records, resumed.records):
+            _assert_bit_identical(a, b)
+
     def test_torn_final_line_is_dropped(self, tmp_path):
         journal = tmp_path / "journal.jsonl"
         frames = _tiny_batch(2)
